@@ -20,14 +20,12 @@
 // the stalled-client scenario: a connection parked mid-pipeline while
 // other clients churn node-freeing updates must leave the reclamation
 // watchdog with zero alerts and the final footprint Gauge-exact.
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/rr.hpp"
 #include "harness/report.hpp"
@@ -37,7 +35,6 @@
 #include "net/server.hpp"
 #include "reclaim/gauge.hpp"
 #include "reclaim/watchdog.hpp"
-#include "util/barrier.hpp"
 #include "util/random.hpp"
 #include "util/zipfian.hpp"
 
@@ -49,6 +46,7 @@ using Store = hohtm::kv::Store<TM, RR>;
 using Service = hohtm::kv::Service<TM, RR>;
 using Server = hohtm::net::Server<TM, RR>;
 using hohtm::harness::BenchEnv;
+using hohtm::harness::TimedPhase;
 using hohtm::kv::Mix;
 namespace kv = hohtm::kv;
 namespace net = hohtm::net;
@@ -68,7 +66,6 @@ struct NetCellResult {
   hohtm::harness::CellResult base;
   hohtm::harness::KvRowExtra kv;
   hohtm::harness::NetRowExtra net;
-  std::uint64_t total_ops = 0;
 };
 
 std::unique_ptr<Store> make_store(const NetCellConfig& cfg) {
@@ -85,24 +82,30 @@ std::unique_ptr<Store> make_store(const NetCellConfig& cfg) {
   return std::make_unique<Store>(opt);
 }
 
-/// One client connection's worth of the given mix: queue `pipeline` ops,
-/// flush, drain the responses, repeat. Returns {hits, misses} seen.
-void run_client(const NetCellConfig& cfg, std::uint16_t port, int conn_id,
-                int trial, std::uint64_t* hits_out,
-                std::uint64_t* misses_out) {
+/// One client connection's worth of the given mix: connect, call
+/// `start()` (the timed phase's barrier), then queue `pipeline` ops,
+/// flush, drain the responses, repeat. Returns the ops completed, which
+/// falls short of ops_per_conn when the connection fails; adds the
+/// responses seen to `hits` (kOk) and `misses`.
+template <class Start>
+std::uint64_t run_client(const NetCellConfig& cfg, std::uint16_t port,
+                         int conn_id, int trial, Start&& start,
+                         std::atomic<std::uint64_t>& hits,
+                         std::atomic<std::uint64_t>& misses) {
   net::Client client;
-  if (!client.connect(port)) return;
+  const bool connected = client.connect(port);
   hohtm::util::Zipfian zipf(
       cfg.records, 0.99,
       0x9e3779b9ULL * static_cast<std::uint64_t>(conn_id + 1) + trial);
   hohtm::util::Xoshiro256 rng(0xc0ffee00ULL + conn_id * 131 + trial);
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  std::uint64_t my_hits = 0;
+  std::uint64_t my_misses = 0;
   std::uint64_t inserted = 0;
   const std::uint64_t insert_base =
       cfg.records + static_cast<std::uint64_t>(conn_id) * cfg.ops_per_conn;
   std::uint64_t done = 0;
-  while (done < cfg.ops_per_conn) {
+  start();
+  while (connected && done < cfg.ops_per_conn) {
     const std::uint64_t batch =
         std::min<std::uint64_t>(cfg.pipeline, cfg.ops_per_conn - done);
     for (std::uint64_t i = 0; i < batch; ++i) {
@@ -110,21 +113,13 @@ void run_client(const NetCellConfig& cfg, std::uint16_t port, int conn_id,
       const std::uint64_t rank = zipf.next();
       switch (cfg.mix) {
         case Mix::kA:
-          if (dice < 50)
-            client.queue_get(kv::make_key(rank));
-          else
-            client.queue_put(kv::make_key(rank),
-                             kv::make_value(rank, done + i));
-          break;
         case Mix::kB:
-          if (dice < 95)
+        case Mix::kC:
+          if (dice < kv::read_pct(cfg.mix))
             client.queue_get(kv::make_key(rank));
           else
             client.queue_put(kv::make_key(rank),
                              kv::make_value(rank, done + i));
-          break;
-        case Mix::kC:
-          client.queue_get(kv::make_key(rank));
           break;
         case Mix::kD:
           // Read-latest/insert: reads chase this connection's freshest
@@ -150,99 +145,56 @@ void run_client(const NetCellConfig& cfg, std::uint16_t port, int conn_id,
       }
     }
     if (client.flush() == 0) break;
-    bool dead = false;
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      net::NetResponse r;
-      if (!client.recv(r)) {
-        dead = true;
-        break;
-      }
+    std::uint64_t got = 0;
+    for (net::NetResponse r; got < batch && client.recv(r); ++got) {
       if (r.status == net::WireStatus::kOk)
-        ++hits;
+        ++my_hits;
       else
-        ++misses;
+        ++my_misses;
     }
-    if (dead) break;
-    done += batch;
+    done += got;
+    if (got < batch) break;
   }
   client.close();
-  *hits_out = hits;
-  *misses_out = misses;
+  hits.fetch_add(my_hits, std::memory_order_relaxed);
+  misses.fetch_add(my_misses, std::memory_order_relaxed);
+  return done;
 }
 
 NetCellResult run_net_cell(const NetCellConfig& cfg) {
   NetCellResult cell;
-  std::vector<double> mops_samples;
-  for (int trial = 0; trial < cfg.trials; ++trial) {
-    const long long live_baseline = hohtm::reclaim::Gauge::live();
+  cell.base = hohtm::harness::run_trials(cfg.trials, /*footprint_ms=*/0,
+                                         [&](int trial, TimedPhase& phase) {
     auto store = make_store(cfg);
     for (std::size_t r = 0; r < cfg.records; ++r)
       store->put(kv::make_key(r), kv::make_value(r, 0));
     store->finish_migration();
-    const std::uint64_t migrate_baseline = store->migrated_buckets();
-    const std::uint64_t resize_baseline = store->tables_swapped();
-    const std::uint64_t scan_baseline = store->scans();
-    const std::uint64_t scan_window_baseline = store->scan_windows();
-    const std::uint64_t scan_resume_baseline = store->scan_resumes();
-    // Reset telemetry before the service spins up its workers: the cell
+    const kv::StoreDelta delta(*store);
+    // Scope telemetry before the service spins up its workers: the cell
     // then measures exactly the socket-driven phase.
-    hohtm::tm::Stats::reset();
-    hohtm::util::Metrics::reset();
+    phase.scope_telemetry();
     Service svc(*store, cfg.workers);
     Server server(svc, Server::Options{});
     if (!server.ok()) {
       std::fprintf(stderr, "kv_loopback: failed to bind loopback server\n");
       std::exit(1);
     }
-
-    std::vector<std::uint64_t> hits(cfg.connections, 0);
-    std::vector<std::uint64_t> misses(cfg.connections, 0);
-    hohtm::util::SpinBarrier barrier(
-        static_cast<std::size_t>(cfg.connections) + 1);
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<std::size_t>(cfg.connections));
-    for (int c = 0; c < cfg.connections; ++c) {
-      clients.emplace_back([&, c, trial] {
-        barrier.arrive_and_wait();
-        run_client(cfg, server.port(), c, trial, &hits[c], &misses[c]);
-        barrier.arrive_and_wait();
-      });
-    }
-    barrier.arrive_and_wait();
-    const auto start = std::chrono::steady_clock::now();
-    barrier.arrive_and_wait();
-    const auto stop = std::chrono::steady_clock::now();
-    for (auto& th : clients) th.join();
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    phase.run(cfg.connections, [&](int c, auto&& start) {
+      return run_client(cfg, server.port(), c, trial, start, hits, misses);
+    });
     server.stop();
     svc.stop();
-
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    const double total_ops =
-        static_cast<double>(cfg.ops_per_conn) * cfg.connections;
-    mops_samples.push_back(total_ops / seconds / 1e6);
-    cell.total_ops +=
-        cfg.ops_per_conn * static_cast<std::uint64_t>(cfg.connections);
-    cell.base.counters.accumulate(hohtm::tm::Stats::total());
-    cell.base.latency.merge(hohtm::util::Metrics::total());
-    for (int c = 0; c < cfg.connections; ++c) {
-      cell.kv.hits += hits[static_cast<std::size_t>(c)];
-      cell.kv.misses += misses[static_cast<std::size_t>(c)];
-    }
-    cell.kv.migrations += store->migrated_buckets() - migrate_baseline;
-    cell.kv.resizes += store->tables_swapped() - resize_baseline;
-    cell.kv.scans += store->scans() - scan_baseline;
-    cell.kv.scan_windows += store->scan_windows() - scan_window_baseline;
-    cell.kv.scan_resumes += store->scan_resumes() - scan_resume_baseline;
+    cell.kv.hits += hits.load(std::memory_order_relaxed);
+    cell.kv.misses += misses.load(std::memory_order_relaxed);
+    delta.add_to(cell.kv);
     const Server::Counters sc = server.counters();
     cell.net.batches += sc.batches;
     cell.net.fused_ops += sc.fused_ops;
     cell.net.bytes_in += sc.bytes_in;
     cell.net.bytes_out += sc.bytes_out;
-
-    const long long end_live = hohtm::reclaim::Gauge::live() - live_baseline;
-    if (end_live > cell.base.live_peak) cell.base.live_peak = end_live;
-  }
-  cell.base.mops = hohtm::util::summarize(mops_samples);
+  });
   return cell;
 }
 
@@ -287,8 +239,21 @@ int run_fusion_gate() {
   hohtm::harness::emit_net_row("net", "smoke-A", "depth-16", 1, d16.base,
                                d16.kv, d16.net);
 
-  const double ops1 = static_cast<double>(d1.total_ops);
-  const double ops16 = static_cast<double>(d16.total_ops);
+  const std::uint64_t want = cfg.ops_per_conn *
+                             static_cast<std::uint64_t>(cfg.connections) *
+                             static_cast<std::uint64_t>(cfg.trials);
+  for (const NetCellResult* d : {&d1, &d16}) {
+    if (d->base.ops != want) {
+      std::fprintf(stderr,
+                   "net smoke: a client stopped short (%llu of %llu ops "
+                   "completed)\n",
+                   static_cast<unsigned long long>(d->base.ops),
+                   static_cast<unsigned long long>(want));
+      return 1;
+    }
+  }
+  const double ops1 = static_cast<double>(d1.base.ops);
+  const double ops16 = static_cast<double>(d16.base.ops);
   const double commits1 = static_cast<double>(d1.base.counters.commits) / ops1;
   const double commits16 =
       static_cast<double>(d16.base.counters.commits) / ops16;

@@ -56,13 +56,6 @@ std::unique_ptr<kv::Store<TM, RR>> make_store(int window,
   return std::make_unique<kv::Store<TM, RR>>(opt);
 }
 
-hohtm::harness::KvRowExtra extra(const KvCellResult& cell) {
-  return hohtm::harness::KvRowExtra{cell.hits,       cell.misses,
-                                    cell.migrations, cell.resizes,
-                                    cell.scans,      cell.scan_windows,
-                                    cell.scan_resumes};
-}
-
 template <class RR>
 void series(const std::string& panel, const char* name,
             KvWorkloadConfig config, const BenchEnv& env, int window,
@@ -75,7 +68,7 @@ void series(const std::string& panel, const char* name,
     const KvCellResult cell = hohtm::kv::run_kv_cell(
         config, [&] { return make_store<RR>(window, fusion_cap); });
     hohtm::harness::emit_kv_row("kv", panel, name, threads, cell.base,
-                                extra(cell));
+                                cell.kv);
   }
 }
 
@@ -123,11 +116,11 @@ int run_fusion_smoke() {
   const KvCellResult unfused = hohtm::kv::run_kv_cell(
       config, [&] { return frozen_store(0); });
   hohtm::harness::emit_kv_row("kv", "fusion-smoke", "RR-V", 1,
-                              unfused.base, extra(unfused));
+                              unfused.base, unfused.kv);
   const KvCellResult fused = hohtm::kv::run_kv_cell(
       config, [&] { return frozen_store(16); });
   hohtm::harness::emit_kv_row("kv", "fusion-smoke", "RR-V+fuse", 1,
-                              fused.base, extra(fused));
+                              fused.base, fused.kv);
   const auto& uc = unfused.base.counters;
   const auto& fc = fused.base.counters;
   if (fc.commits >= uc.commits) {
@@ -187,7 +180,7 @@ int run_attribution_smoke() {
   };
   const KvCellResult cell = hohtm::kv::run_kv_cell(config, contended_store);
   hohtm::harness::emit_kv_row("kv", "attr-smoke", "RR-V", config.threads,
-                              cell.base, extra(cell));
+                              cell.base, cell.kv);
   const auto& c = cell.base.counters;
   const unsigned long long losses = c.reservation_losses;
   const unsigned long long attributed = c.attributed_losses();
@@ -277,13 +270,13 @@ int run_smoke() {
   const KvCellResult cell = hohtm::kv::run_kv_cell(
       config, [&] { return make_store<rr::RrV<TM>>(16); });
   hohtm::harness::emit_kv_row("kv", "smoke", "RR-V", 1, cell.base,
-                              extra(cell));
+                              cell.kv);
   const long long leaked = hohtm::reclaim::Gauge::live() - baseline;
   if (cell.base.mops.mean <= 0.0) {
     std::fprintf(stderr, "kv smoke: zero throughput\n");
     return 1;
   }
-  if (cell.hits == 0) {
+  if (cell.kv.hits == 0) {
     std::fprintf(stderr, "kv smoke: no read ever hit\n");
     return 1;
   }
@@ -293,8 +286,8 @@ int run_smoke() {
     return 1;
   }
   std::printf("# kv smoke ok: %llu hits, %llu buckets migrated, 0 leaks\n",
-              static_cast<unsigned long long>(cell.hits),
-              static_cast<unsigned long long>(cell.migrations));
+              static_cast<unsigned long long>(cell.kv.hits),
+              static_cast<unsigned long long>(cell.kv.migrations));
   if (int rc = run_fusion_smoke(); rc != 0) return rc;
   if (int rc = run_attribution_smoke(); rc != 0) return rc;
   return run_watchdog_smoke();
@@ -437,20 +430,20 @@ int run_scan_smoke() {
   const KvCellResult cell = hohtm::kv::run_kv_cell(
       config, [&] { return make_store<rr::RrV<TM>>(8); });
   hohtm::harness::emit_kv_row("kv", "scan-smoke", "RR-V", 1, cell.base,
-                              extra(cell));
-  if (cell.scans == 0 || cell.scan_windows < cell.scans) {
+                              cell.kv);
+  if (cell.kv.scans == 0 || cell.kv.scan_windows < cell.kv.scans) {
     std::fprintf(stderr,
                  "kv scan smoke: E cell scan counters dead (scans=%llu "
                  "windows=%llu)\n",
-                 static_cast<unsigned long long>(cell.scans),
-                 static_cast<unsigned long long>(cell.scan_windows));
+                 static_cast<unsigned long long>(cell.kv.scans),
+                 static_cast<unsigned long long>(cell.kv.scan_windows));
     return 1;
   }
   std::printf("# kv scan smoke ok: E cell ran %llu scans over %llu windows "
               "(%llu resumes)\n",
-              static_cast<unsigned long long>(cell.scans),
-              static_cast<unsigned long long>(cell.scan_windows),
-              static_cast<unsigned long long>(cell.scan_resumes));
+              static_cast<unsigned long long>(cell.kv.scans),
+              static_cast<unsigned long long>(cell.kv.scan_windows),
+              static_cast<unsigned long long>(cell.kv.scan_resumes));
   return 0;
 }
 

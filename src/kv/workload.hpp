@@ -1,16 +1,12 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "harness/driver.hpp"
+#include "harness/report.hpp"
 #include "kv/store.hpp"
 #include "util/zipfian.hpp"
 
@@ -39,6 +35,12 @@ inline const char* mix_name(Mix mix) noexcept {
     case Mix::kE: return "ycsb-e";
   }
   return "?";
+}
+
+/// Percent of a mix's ops that read (get, or scan for E); the rest
+/// update (A, B) or insert a new record (D, E).
+inline std::uint64_t read_pct(Mix mix) noexcept {
+  return mix == Mix::kA ? 50 : mix == Mix::kC ? 100 : 95;
 }
 
 /// One KV bench cell. `records` is both the prefill count and the
@@ -88,182 +90,106 @@ inline std::string make_value(std::uint64_t rank, std::uint64_t version) {
 }
 
 /// CellResult plus the KV-specific telemetry appended to the CSV row
-/// (columns kv_hits..kv_resizes; see harness::emit_kv_header).
+/// (columns kv_hits..kv_scan_resumes; see harness::emit_kv_header).
 struct KvCellResult {
   harness::CellResult base;
-  std::uint64_t hits = 0;          // reads that found their key
-  std::uint64_t misses = 0;        // reads that did not
-  std::uint64_t migrations = 0;    // old-table buckets migrated
-  std::uint64_t resizes = 0;       // tables installed (grow events)
-  std::uint64_t scans = 0;         // range-scan ops started (Mix E)
-  std::uint64_t scan_windows = 0;  // committed scan window transactions
-  std::uint64_t scan_resumes = 0;  // lost cursors reseeked mid-scan
+  harness::KvRowExtra kv;
+};
+
+/// Snapshot-and-subtract for the store's monotonic counters (buckets
+/// migrated, tables installed, the range-scan triple): construct it once
+/// the prefill has settled, and add_to() adds what the timed phase
+/// contributed.
+template <class S>
+class StoreDelta {
+ public:
+  explicit StoreDelta(const S& store) : store_(store), at_(read()) {}
+
+  void add_to(harness::KvRowExtra& out) const {
+    const harness::KvRowExtra now = read();
+    out.migrations += now.migrations - at_.migrations;
+    out.resizes += now.resizes - at_.resizes;
+    out.scans += now.scans - at_.scans;
+    out.scan_windows += now.scan_windows - at_.scan_windows;
+    out.scan_resumes += now.scan_resumes - at_.scan_resumes;
+  }
+
+ private:
+  harness::KvRowExtra read() const {
+    return {0, 0, store_.migrated_buckets(), store_.tables_swapped(),
+            store_.scans(), store_.scan_windows(), store_.scan_resumes()};
+  }
+
+  const S& store_;
+  harness::KvRowExtra at_;
 };
 
 /// KV mirror of harness::run_cell: per trial, build a fresh store via
 /// `make_store()` (a callable returning something with put/get/del and
 /// the migration accessors), prefill `records` keys, settle migration,
-/// then run the mix from `threads` workers lined up on a spin barrier.
-/// Telemetry scoping, the footprint sampler, and live-peak accounting
-/// follow run_cell exactly, so the same CSV/plot tooling applies.
+/// then run the mix from `threads` workers through harness::TimedPhase,
+/// so timing, telemetry scoping and the footprint sampler are run_cell's.
 template <class StoreFactory>
 KvCellResult run_kv_cell(const KvWorkloadConfig& config,
                          StoreFactory&& make_store) {
   KvCellResult cell;
-  std::vector<double> mops_samples;
-  for (int trial = 0; trial < config.trials; ++trial) {
-    const long long live_baseline = reclaim::Gauge::live();
+  cell.base = harness::run_trials(config.trials, config.footprint_ms,
+                                  [&](int trial, harness::TimedPhase& phase) {
     auto store = make_store();
     for (std::size_t r = 0; r < config.records; ++r)
       store->put(make_key(r), make_value(r, 0));
     store->finish_migration();  // settle prefill grows before timing
-    const std::uint64_t migrate_baseline = store->migrated_buckets();
-    const std::uint64_t resize_baseline = store->tables_swapped();
-    const std::uint64_t scan_baseline = store->scans();
-    const std::uint64_t scan_window_baseline = store->scan_windows();
-    const std::uint64_t scan_resume_baseline = store->scan_resumes();
-    tm::Stats::reset();
-    util::Metrics::reset();
-
+    const StoreDelta delta(*store);
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
-    util::SpinBarrier barrier(static_cast<std::size_t>(config.threads) + 1);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config.threads));
-    for (int t = 0; t < config.threads; ++t) {
-      threads.emplace_back([&, t, trial] {
-        util::Zipfian zipf(config.records, config.theta,
-                           config.seed + 1000u * (trial + 1) + t);
-        util::Xoshiro256 rng(config.seed + 0x2000u * (trial + 1) + t);
-        std::string value;
-        std::uint64_t my_hits = 0;
-        std::uint64_t my_misses = 0;
-        std::uint64_t inserted = 0;  // Mix D: this thread's new records
-        const std::uint64_t insert_base =
-            config.records + (static_cast<std::uint64_t>(t + 1) << 32);
-        barrier.arrive_and_wait();
-        for (std::uint64_t i = 0; i < config.ops_per_thread; ++i) {
-          const int dice = static_cast<int>(rng.next_below(100));
-          bool do_read = true;
-          switch (config.mix) {
-            case Mix::kA: do_read = dice < 50; break;
-            case Mix::kB: do_read = dice < 95; break;
-            case Mix::kC: do_read = true; break;
-            case Mix::kD: do_read = dice < 95; break;
-            case Mix::kE: do_read = dice < 95; break;
-          }
-          if (config.mix == Mix::kE) {
-            if (do_read) {
-              // Scan: Zipfian-popular start key, uniform length. The
-              // visitor is a no-op — the cell measures the traversal and
-              // its cursor handover, not the consumer.
-              const std::size_t len = 1 + static_cast<std::size_t>(
-                  rng.next_below(config.max_scan_len));
-              if (store->scan_from(make_key(zipf.next()), len,
-                                   [](const std::string&,
-                                      const std::string&) {}) > 0)
-                ++my_hits;
-              else
-                ++my_misses;
-            } else {
-              store->put(make_key(insert_base + inserted),
-                         make_value(insert_base + inserted, 0));
-              ++inserted;
-            }
-          } else if (config.mix == Mix::kD) {
-            if (do_read) {
-              // Read-latest: prefer this thread's most recent inserts,
-              // Zipfian-skewed; fall back to the prefill while young.
-              std::uint64_t rank;
-              if (inserted == 0) {
-                rank = zipf.next();
-              } else {
-                const std::uint64_t back = zipf.next() % inserted;
-                rank = insert_base + (inserted - 1 - back);
-              }
-              if (store->get(make_key(rank), value))
-                ++my_hits;
-              else
-                ++my_misses;
-            } else {
-              store->put(make_key(insert_base + inserted),
-                         make_value(insert_base + inserted, 0));
-              ++inserted;
-            }
-          } else if (do_read) {
-            if (store->get(make_key(zipf.next()), value))
-              ++my_hits;
-            else
-              ++my_misses;
-          } else {
-            const std::uint64_t rank = zipf.next();
-            store->put(make_key(rank), make_value(rank, i + 1));
-          }
+    phase.run(config.threads, [&](int t, auto&& start) {
+      util::Zipfian zipf(config.records, config.theta,
+                         config.seed + 1000u * (trial + 1) + t);
+      util::Xoshiro256 rng(config.seed + 0x2000u * (trial + 1) + t);
+      std::string value;
+      std::uint64_t my_hits = 0;
+      std::uint64_t my_misses = 0;
+      std::uint64_t inserted = 0;  // Mix D/E: this thread's new records
+      const std::uint64_t insert_base =
+          config.records + (static_cast<std::uint64_t>(t + 1) << 32);
+      const bool grows = config.mix == Mix::kD || config.mix == Mix::kE;
+      const auto ignore = [](const std::string&, const std::string&) {};
+      start();
+      for (std::uint64_t i = 0; i < config.ops_per_thread; ++i) {
+        const bool read = rng.next_below(100) < read_pct(config.mix);
+        if (!read && grows) {
+          store->put(make_key(insert_base + inserted),
+                     make_value(insert_base + inserted, 0));
+          ++inserted;
+        } else if (!read) {
+          const std::uint64_t rank = zipf.next();
+          store->put(make_key(rank), make_value(rank, i + 1));
+        } else if (config.mix == Mix::kE) {
+          // Scan: Zipfian-popular start key, uniform length. The visitor
+          // is a no-op — the cell measures the traversal and its cursor
+          // handover, not the consumer.
+          const std::size_t len = 1 + static_cast<std::size_t>(
+              rng.next_below(config.max_scan_len));
+          const bool hit =
+              store->scan_from(make_key(zipf.next()), len, ignore) > 0;
+          ++(hit ? my_hits : my_misses);
+        } else {
+          // Mix D reads latest: prefer this thread's most recent inserts,
+          // Zipfian-skewed; fall back to the prefill while young.
+          std::uint64_t rank = zipf.next();
+          if (config.mix == Mix::kD && inserted > 0)
+            rank = insert_base + (inserted - 1 - rank % inserted);
+          ++(store->get(make_key(rank), value) ? my_hits : my_misses);
         }
-        barrier.arrive_and_wait();
-        hits.fetch_add(my_hits, std::memory_order_relaxed);
-        misses.fetch_add(my_misses, std::memory_order_relaxed);
-      });
-    }
-
-    std::mutex sampler_mu;
-    std::condition_variable sampler_cv;
-    bool stop_sampler = false;
-    std::vector<harness::FootprintSample> samples;
-    std::thread sampler;
-    barrier.arrive_and_wait();
-    const auto start = std::chrono::steady_clock::now();
-    if (config.footprint_ms > 0) {
-      sampler = std::thread([&] {
-        const auto period = std::chrono::milliseconds(config.footprint_ms);
-        auto deadline = start + period;
-        std::unique_lock<std::mutex> lock(sampler_mu);
-        for (;;) {
-          const double t_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-          samples.push_back(harness::FootprintSample{
-              t_ms, reclaim::Gauge::live() - live_baseline});
-          if (sampler_cv.wait_until(lock, deadline,
-                                    [&] { return stop_sampler; }))
-            return;
-          deadline += period;
-        }
-      });
-    }
-    barrier.arrive_and_wait();
-    const auto stop = std::chrono::steady_clock::now();
-    for (auto& th : threads) th.join();
-    if (sampler.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(sampler_mu);
-        stop_sampler = true;
       }
-      sampler_cv.notify_one();
-      sampler.join();
-    }
-
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    const double total_ops =
-        static_cast<double>(config.ops_per_thread) * config.threads;
-    mops_samples.push_back(total_ops / seconds / 1e6);
-    cell.base.counters.accumulate(tm::Stats::total());
-    cell.base.latency.merge(util::Metrics::total());
-    cell.hits += hits.load(std::memory_order_relaxed);
-    cell.misses += misses.load(std::memory_order_relaxed);
-    cell.migrations += store->migrated_buckets() - migrate_baseline;
-    cell.resizes += store->tables_swapped() - resize_baseline;
-    cell.scans += store->scans() - scan_baseline;
-    cell.scan_windows += store->scan_windows() - scan_window_baseline;
-    cell.scan_resumes += store->scan_resumes() - scan_resume_baseline;
-
-    const long long end_live = reclaim::Gauge::live() - live_baseline;
-    if (end_live > cell.base.live_peak) cell.base.live_peak = end_live;
-    for (const harness::FootprintSample& s : samples)
-      if (s.live > cell.base.live_peak) cell.base.live_peak = s.live;
-    if (!samples.empty()) cell.base.footprint = std::move(samples);
-  }
-  cell.base.mops = util::summarize(mops_samples);
+      hits.fetch_add(my_hits, std::memory_order_relaxed);
+      misses.fetch_add(my_misses, std::memory_order_relaxed);
+      return config.ops_per_thread;
+    });
+    cell.kv.hits += hits.load(std::memory_order_relaxed);
+    cell.kv.misses += misses.load(std::memory_order_relaxed);
+    delta.add_to(cell.kv);
+  });
   return cell;
 }
 

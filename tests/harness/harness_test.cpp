@@ -1,14 +1,19 @@
-// Workload harness: prefill determinism, environment parsing, and the
-// measurement driver end to end.
+// Workload harness: prefill determinism, environment parsing, the
+// worker-stamped timed phase, and the measurement drivers end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <set>
 
+#include "core/rr.hpp"
 #include "ds/sll_hoh.hpp"
 #include "harness/driver.hpp"
 #include "harness/workload.hpp"
+#include "kv/workload.hpp"
 
 namespace hohtm::harness {
 namespace {
@@ -74,6 +79,7 @@ TEST(Driver, RunsTrialsAndReportsThroughput) {
   const CellResult cell =
       run_cell(config, [&] { return std::make_unique<List>(config.window); });
   EXPECT_EQ(cell.mops.n, 2u);
+  EXPECT_EQ(cell.ops, 2u * 2u * 2000u);
   EXPECT_GT(cell.mops.mean, 0.0);
   EXPECT_GT(cell.mops.min, 0.0);
 }
@@ -100,6 +106,54 @@ TEST(Driver, LookupOnlyMixDoesNotMutate) {
   });
   (void)witness;
   EXPECT_EQ(prefill_size, 32u);
+}
+
+TEST(TimedPhase, SerialisedWorkersSpanBothLoops) {
+  // Worker 1 starts its loop only once worker 0 has finished, so the
+  // phase must cover both loops back to back: the case a coordinator
+  // that stamps its own clock after the start barrier can miss.
+  using Clock = TimedPhase::Clock;
+  std::atomic<bool> first_done{false};
+  Clock::duration loop[2] = {};
+  TimedPhase phase;
+  phase.run(2, [&](int t, auto&& start) {
+    start();
+    if (t == 1) first_done.wait(false, std::memory_order_acquire);
+    const auto begin = Clock::now();
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
+    volatile std::uint64_t sink = 0;
+    for (int i = 0; i < 200000; ++i) sink = sink ^ rng.next();
+    loop[t] = Clock::now() - begin;
+    if (t == 0) {
+      first_done.store(true, std::memory_order_release);
+      first_done.notify_one();
+    }
+    return std::uint64_t{100};
+  });
+  EXPECT_EQ(phase.ops(), 200u);
+  EXPECT_GE(phase.seconds(),
+            std::chrono::duration<double>(loop[0] + loop[1]).count());
+  EXPECT_GT(phase.mops(), 0.0);
+}
+
+TEST(KvDriver, ReadOnlyCellCountsEveryRead) {
+  using TM = tm::Norec;
+  using Store = kv::Store<TM, rr::RrV<TM>>;
+  kv::KvWorkloadConfig config;
+  config.mix = kv::Mix::kC;
+  config.records = 256;
+  config.threads = 1;
+  config.ops_per_thread = 500;
+  config.trials = 2;
+  const kv::KvCellResult cell = kv::run_kv_cell(
+      config, [] { return std::make_unique<Store>(Store::Options{}); });
+  EXPECT_EQ(cell.kv.hits, 2u * config.ops_per_thread);
+  EXPECT_EQ(cell.kv.misses, 0u);
+  EXPECT_EQ(cell.kv.migrations, 0u);
+  EXPECT_EQ(cell.base.ops, 2u * config.ops_per_thread);
+  EXPECT_EQ(cell.base.mops.n, 2u);
+  EXPECT_TRUE(std::isfinite(cell.base.mops.mean));
+  EXPECT_GT(cell.base.mops.min, 0.0);
 }
 
 }  // namespace
