@@ -35,20 +35,22 @@ class RrSo {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(my_ref(), static_cast<Ref>(nullptr));
+    tx.write_owned(my_ref(), static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
     tx.write(own_[slot_index(my_array(), ref)], my_id());
-    tx.write(my_ref(), ref);
+    tx.write_owned(my_ref(), ref);
   }
 
-  void release(Tx& tx) { tx.write(my_ref(), static_cast<Ref>(nullptr)); }
+  void release(Tx& tx) {
+    tx.write_owned(my_ref(), static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(my_ref());
+    const Ref ref = tx.read_owned(my_ref());
     if (ref == nullptr ||
         tx.read(own_[slot_index(my_array(), ref)]) != my_id()) {
       note_get(nullptr);

@@ -19,6 +19,11 @@ namespace hohtm::rr {
 /// reference simultaneously — the strongest combination in the relaxed
 /// family, and (with RR-XO) the best performer in the paper's Figures.
 ///
+/// The per-thread cell is a thread-owned word pair (tx.read_owned /
+/// tx.write_owned): a window transaction that only reserves and releases
+/// is read-only to the TM, as under the paper's HTM, where a store to the
+/// thread's own slot conflicts with no one.
+///
 /// Relaxed: a Revoke of a *different* reference that hashes to the same
 /// counter spuriously invalidates the reservation.
 template <class TM>
@@ -37,7 +42,7 @@ class RrV {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(mine().ref, static_cast<Ref>(nullptr));
+    tx.write_owned(mine().ref, static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
@@ -45,16 +50,20 @@ class RrV {
   /// of the same reference never conflict with each other.
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
-    tx.write(mine().version, tx.read(versions_[slot_of(ref)]));
-    tx.write(mine().ref, ref);
+    Cell& cell = mine();
+    tx.write_owned(cell.version, tx.read(versions_[slot_of(ref)]));
+    tx.write_owned(cell.ref, ref);
   }
 
-  void release(Tx& tx) { tx.write(mine().ref, static_cast<Ref>(nullptr)); }
+  void release(Tx& tx) {
+    tx.write_owned(mine().ref, static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(mine().ref);
+    const Cell& cell = mine();
+    const Ref ref = tx.read_owned(cell.ref);
     if (ref == nullptr ||
-        tx.read(versions_[slot_of(ref)]) != tx.read(mine().version)) {
+        tx.read(versions_[slot_of(ref)]) != tx.read_owned(cell.version)) {
       note_get(nullptr);
       return nullptr;
     }

@@ -39,21 +39,24 @@ class RrXo {
   /// registration only needs to scrub a recycled slot's stale reference.
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(my_ref(), static_cast<Ref>(nullptr));
+    tx.write_owned(my_ref(), static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
     tx.write(own_[hash_ref(ref, log2_slots_)], my_id());
-    tx.write(my_ref(), ref);
+    tx.write_owned(my_ref(), ref);
   }
 
-  /// Thread-local only: never causes transaction conflicts.
-  void release(Tx& tx) { tx.write(my_ref(), static_cast<Ref>(nullptr)); }
+  /// Thread-owned word only: never causes transaction conflicts, and a
+  /// transaction that writes nothing else commits read-only.
+  void release(Tx& tx) {
+    tx.write_owned(my_ref(), static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(my_ref());
+    const Ref ref = tx.read_owned(my_ref());
     if (ref == nullptr || tx.read(own_[hash_ref(ref, log2_slots_)]) != my_id()) {
       note_get(nullptr);
       return nullptr;

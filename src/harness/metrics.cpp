@@ -24,10 +24,11 @@ void tm_section(std::FILE* out) {
   const tm::StatCounters c = tm::Stats::total();
   std::fprintf(out,
                "{\"commits\":%" PRIu64 ",\"aborts\":%" PRIu64
-               ",\"serial_commits\":%" PRIu64 ",\"res_lost\":%" PRIu64
-               ",\"fused_windows\":%" PRIu64 ",\"fused_aborts\":%" PRIu64,
-               c.commits, c.aborts, c.serial_commits, c.reservation_losses,
-               c.fused_windows, c.fused_aborts);
+               ",\"serial_commits\":%" PRIu64 ",\"writer_commits\":%" PRIu64
+               ",\"res_lost\":%" PRIu64 ",\"fused_windows\":%" PRIu64
+               ",\"fused_aborts\":%" PRIu64,
+               c.commits, c.aborts, c.serial_commits, c.writer_commits,
+               c.reservation_losses, c.fused_windows, c.fused_aborts);
   std::fprintf(out, ",\"by_cause\":{");
   for (std::size_t i = 0; i < tm::kAbortCauseCount; ++i)
     std::fprintf(out, "%s\"%s\":%" PRIu64, i == 0 ? "" : ",",

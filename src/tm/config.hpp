@@ -74,6 +74,13 @@ struct StatCounters {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t serial_commits = 0;
+  /// The subset of `commits` that published writes: a NOrec/TL2 commit
+  /// with a non-empty write set, a TML writer, a TLEager (or GLock)
+  /// commit that stored in place. A NOrec writer takes the global
+  /// seqlock and makes every concurrent reader re-validate; a commit
+  /// whose only stores were thread-owned words (TxLifecycle::write_owned)
+  /// is not one.
+  std::uint64_t writer_commits = 0;
   std::uint64_t user_retries = 0;
   /// Times this thread's own reservation was observed revoked (by a
   /// concurrent remover) when resuming a hand-over-hand operation. The
@@ -176,6 +183,7 @@ struct StatCounters {
     commits += other.commits;
     aborts += other.aborts;
     serial_commits += other.serial_commits;
+    writer_commits += other.writer_commits;
     user_retries += other.user_retries;
     reservation_losses += other.reservation_losses;
     fused_windows += other.fused_windows;

@@ -39,9 +39,8 @@ class GLock {
     void begin() { mutex().lock(); }
 
     void commit() {
-      undo_.clear();
-      life_.commit();
-      mutex().unlock();
+      if (!undo_.empty()) Stats::mine().writer_commits += 1;
+      commit_serial();
     }
 
     void on_abort() noexcept {
@@ -51,9 +50,14 @@ class GLock {
     }
 
     // Serial mode is identical to the normal mode (already irrevocable in
-    // the absence of user retries, which run_serial_body handles).
+    // the absence of user retries, which run_serial_body handles); only
+    // normal commits count toward writer_commits.
     void begin_serial() { begin(); }
-    void commit_serial() { commit(); }
+    void commit_serial() {
+      undo_.clear();
+      life_.commit();
+      mutex().unlock();
+    }
     void abort_serial() noexcept { on_abort(); }
 
    private:

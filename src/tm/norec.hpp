@@ -83,6 +83,7 @@ class Norec {
       while (!seqlock().try_lock_from(snapshot_)) snapshot_ = validate();
       writes_.write_back();
       seqlock().unlock_to(snapshot_ + 2);
+      Stats::mine().writer_commits += 1;
       finish_with_frees(snapshot_ + 2);
     }
 

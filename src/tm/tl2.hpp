@@ -118,6 +118,7 @@ class Tl2 {
         lo.orec->store(OrecTable::unlocked(wv), std::memory_order_release);
       }
       locked_.clear();
+      Stats::mine().writer_commits += 1;
       finish_with_frees(wv);
     }
 

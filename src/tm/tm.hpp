@@ -13,6 +13,10 @@
 ///     return x;                                   //  after quiescence
 ///   });
 ///
+/// `tx.read_owned` / `tx.write_owned` access words only the calling
+/// thread ever touches (reservation cells): in place, undo-logged, and
+/// invisible to conflict detection (see TxLifecycle).
+///
 /// See DESIGN.md section 1.1 for the backend comparison and section 3 for
 /// why deferred-free-at-commit plus quiescence reproduces the reclamation
 /// guarantee the paper obtains from HTM's immediate aborts.
@@ -33,6 +37,8 @@ template <class TM>
 concept TMBackend = requires(typename TM::Tx& tx, int& loc, int val) {
   { tx.read(loc) } -> std::same_as<int>;
   { tx.write(loc, val) };
+  { tx.read_owned(loc) } -> std::same_as<int>;
+  { tx.write_owned(loc, val) };
   { tx.template alloc<int>(0) } -> std::same_as<int*>;
   { tx.dealloc(static_cast<int*>(nullptr)) };
   { TM::atomically([](typename TM::Tx&) {}) };

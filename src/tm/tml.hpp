@@ -63,6 +63,7 @@ class Tml {
       if (writer_) {
         undo_.clear();
         seqlock().unlock_to(snapshot_ + 2);
+        Stats::mine().writer_commits += 1;
         finish_with_frees(snapshot_ + 2);
       } else {
         finish_with_frees(snapshot_);

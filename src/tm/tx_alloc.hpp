@@ -5,6 +5,7 @@
 #include "alloc/object.hpp"
 #include "reclaim/gauge.hpp"
 #include "tm/txsets.hpp"
+#include "tm/word.hpp"
 
 namespace hohtm::tm {
 
@@ -46,6 +47,27 @@ class TxLifecycle {
   template <class T>
   void dealloc(T* p) {
     if (p != nullptr) life_.on_commit(const_cast<std::remove_const_t<T>*>(p), &destroy_thunk<std::remove_const_t<T>>);
+  }
+
+  /// Thread-owned words: locations that only the calling thread ever
+  /// reads or writes (a reservation's per-thread cell). The access is a
+  /// plain one in place, with no read-set or write-set entry and no sched
+  /// point; the old value goes to the lifecycle undo log, so an abort
+  /// restores it. A transaction whose only writes are owned words is
+  /// read-only to the backend and commits without publishing anything.
+  /// Never use these on a word another thread can touch: no conflict on
+  /// it is ever detected (tools/hohtm_lint.py rule `owned-word`). Nor mix
+  /// them with tx.read/tx.write on the same word: a lazy backend's
+  /// write-back would overwrite the in-place store at commit.
+  template <TxWord T>
+  T read_owned(const T& loc) const noexcept {
+    return loc;
+  }
+
+  template <TxWord T>
+  void write_owned(T& loc, T val) {
+    life_.on_owned_write(&loc, erase_word(loc));
+    loc = val;
   }
 
  protected:

@@ -91,9 +91,10 @@ class WriteSet {
   unsigned shift_ = 60;
 };
 
-/// Undo log for eager (write-through) execution: TML writers and the
-/// serial-irrevocable modes. Records the previous value before each
-/// in-place store, replayed in reverse on a user-requested retry.
+/// Undo log for eager (write-through) execution: TML writers, the
+/// serial-irrevocable modes, and thread-owned words (LifecycleLog).
+/// Records the previous value before each in-place store, replayed in
+/// reverse on a user-requested retry.
 class UndoLog {
  public:
   void record(void* addr, ErasedWord old_value) {
@@ -122,6 +123,12 @@ class UndoLog {
 /// registers one to run after the transaction commits (and, in concurrent
 /// backends, after the quiescence fence — this is what makes reclamation
 /// precise yet safe).
+///
+/// It also holds the undo log of thread-owned words (TxLifecycle::
+/// write_owned): the old value of each in-place store, replayed in
+/// reverse by abort() and dropped by commit(). Every backend already
+/// calls those two on every exit path — conflict retry, user exception,
+/// serial-mode abort — so owned words roll back with no backend code.
 class LifecycleLog {
  public:
   using Thunk = void (*)(void*) noexcept;
@@ -129,10 +136,16 @@ class LifecycleLog {
   void on_abort(void* p, Thunk destroy) { allocs_.push_back({p, destroy}); }
   void on_commit(void* p, Thunk destroy) { frees_.push_back({p, destroy}); }
 
+  /// Record the value a thread-owned word held before an in-place store.
+  void on_owned_write(void* addr, ErasedWord old_value) {
+    owned_.record(addr, old_value);
+  }
+
   bool has_pending_frees() const noexcept { return !frees_.empty(); }
 
   /// Transaction committed: allocations become permanent, deferred frees run.
   void commit() noexcept {
+    owned_.clear();
     allocs_.clear();
     for (const Record& r : frees_) {
       // Pairs with tsan::release(ref) in rr::note_reserve/note_revocation:
@@ -145,6 +158,7 @@ class LifecycleLog {
 
   /// Transaction aborted: deferred frees are discarded, allocations undone.
   void abort() noexcept {
+    owned_.roll_back();
     frees_.clear();
     for (auto it = allocs_.rbegin(); it != allocs_.rend(); ++it)
       it->destroy(it->ptr);
@@ -158,6 +172,7 @@ class LifecycleLog {
   };
   std::vector<Record> allocs_;
   std::vector<Record> frees_;
+  UndoLog owned_;
 };
 
 }  // namespace hohtm::tm

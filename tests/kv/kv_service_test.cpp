@@ -247,13 +247,20 @@ TEST(KvService, BatchRequestExecutesInOrderAndFuses) {
   // streak (ds::WindowTuner::kFuseStreak) — warm the lone worker past it.
   for (int i = 0; i < 16; ++i)
     svc.put("warm" + std::to_string(i), "v", nullptr);
+  auto make_op = [](kv::OpCode code, std::string value = "") {
+    kv::BatchOp op;
+    op.op = code;
+    op.key = "bk";
+    op.value = std::move(value);
+    return op;
+  };
   std::vector<kv::BatchOp> ops(6);
-  ops[0] = {kv::OpCode::kPut, "bk", "v1"};
-  ops[1] = {kv::OpCode::kGet, "bk"};
-  ops[2] = {kv::OpCode::kPut, "bk", "v2"};   // overwrite, in order
-  ops[3] = {kv::OpCode::kGet, "bk"};
-  ops[4] = {kv::OpCode::kDel, "bk"};
-  ops[5] = {kv::OpCode::kGet, "bk"};
+  ops[0] = make_op(kv::OpCode::kPut, "v1");
+  ops[1] = make_op(kv::OpCode::kGet);
+  ops[2] = make_op(kv::OpCode::kPut, "v2");  // overwrite, in order
+  ops[3] = make_op(kv::OpCode::kGet);
+  ops[4] = make_op(kv::OpCode::kDel);
+  ops[5] = make_op(kv::OpCode::kGet);
   kv::Completion done;
   kv::Request req;
   req.op = kv::OpCode::kBatch;

@@ -160,7 +160,9 @@ TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
             case net::WireOp::kGet:
               EXPECT_EQ(r.status, e.hit ? net::WireStatus::kOk
                                         : net::WireStatus::kNotFound);
-              if (e.hit) EXPECT_EQ(r.value, e.value);
+              if (e.hit) {
+                EXPECT_EQ(r.value, e.value);
+              }
               break;
             default:
               EXPECT_EQ(r.status, e.hit ? net::WireStatus::kOk

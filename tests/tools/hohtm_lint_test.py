@@ -63,6 +63,10 @@ EXPECTED = {
     ("src/util/using_bad.hpp", 4, "no-using-namespace"),
     ("src/core/padded_bad.hpp", 6, "padded-shared-array"),
     ("src/util/metric_slots_bad.hpp", 10, "padded-metric-slots"),
+    # Owned words outside src/core/, src/tm/ and tests/tm/; the third
+    # use carries an allow-pragma, the comment mention is not code.
+    ("src/ds/owned_word_bad.hpp", 6, "owned-word"),
+    ("src/ds/owned_word_bad.hpp", 7, "owned-word"),
     # allow_pragma.cpp: three violations suppressed by pragmas; the last
     # yield's pragma names a different rule, so it still fires.
     ("src/ds/allow_pragma.cpp", 17, "no-sleep-sync"),
@@ -108,6 +112,8 @@ class FixtureCorpus(unittest.TestCase):
                              "src/core/padded_good.hpp",
                              "src/util/metric_slots_good.hpp",
                              "src/ds/tx_alloc_good.cpp",
+                             "src/core/owned_word_good.hpp",
+                             "tests/tm/owned_word_ok.cpp",
                              "src/util/trace.hpp",
                              "tests/util/using_ok.cpp")]
         proc, findings = self.lint_json(*clean)
@@ -119,6 +125,17 @@ class FixtureCorpus(unittest.TestCase):
         self.assertEqual(
             [(f["line"], f["rule"]) for f in findings],
             [(17, "no-sleep-sync")])
+
+    def test_owned_word_scope(self):
+        # The same calls fire under src/ds/ and stay silent in the
+        # reservation layer and the TM's own tests.
+        _, findings = self.lint_json("src/ds/owned_word_bad.hpp",
+                                     "src/core/owned_word_good.hpp",
+                                     "tests/tm/owned_word_ok.cpp")
+        self.assertEqual(
+            [(f["path"], f["line"], f["rule"]) for f in findings],
+            [("src/ds/owned_word_bad.hpp", 6, "owned-word"),
+             ("src/ds/owned_word_bad.hpp", 7, "owned-word")])
 
     def test_gate_exempt_file_is_silent(self):
         # Identical token in the hook header itself: exempt.
@@ -139,7 +156,7 @@ class Cli(unittest.TestCase):
         for rule in ("tx-raw-alloc", "atomic-order", "no-sleep-sync",
                      "spin-park", "gated-hooks", "pragma-once",
                      "no-using-namespace", "padded-shared-array",
-                     "padded-metric-slots"):
+                     "padded-metric-slots", "owned-word"):
             self.assertIn(rule, proc.stdout)
 
     def test_missing_path_is_usage_error(self):

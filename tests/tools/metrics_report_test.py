@@ -34,6 +34,7 @@ def snapshot(res_lost=4, attributed=3, unknown=1):
         "sections": {
             "tm": {
                 "commits": 900,
+                "writer_commits": 300,
                 "aborts": 40,
                 "res_lost": res_lost,
                 "attribution": {
@@ -135,6 +136,14 @@ class CheckTest(unittest.TestCase):
         problems = metrics_report.check(doc)
         self.assertTrue(any("loss_by_site" in p for p in problems))
 
+    def test_writer_commits_cannot_exceed_commits(self):
+        doc = snapshot()
+        doc["sections"]["tm"]["writer_commits"] = 900  # all writers: fine
+        self.assertEqual(metrics_report.check(doc), [])
+        doc["sections"]["tm"]["writer_commits"] = 901
+        problems = metrics_report.check(doc)
+        self.assertTrue(any("writer_commits(901)" in p for p in problems))
+
     def test_aborted_by_may_undercount_but_not_overcount(self):
         doc = snapshot()
         doc["sections"]["tm"]["attribution"]["aborted_by"] = [1, 1]
@@ -159,6 +168,9 @@ class RenderCliTest(unittest.TestCase):
         proc = self.run_tool(snapshot())
         self.assertEqual(proc.returncode, 0, proc.stderr)
         for fragment in ("## counters", "kv.ops", "## gauges",
+                         "## commit mix",
+                         "300 of 900 commits published writes (33.3%); "
+                         "600 committed read-only",
                          "## causal abort attribution",
                          "losses: 4 total = 3 attributed + 1 unknown",
                          "list_remove",
@@ -191,6 +203,13 @@ class RenderCliTest(unittest.TestCase):
                       proc.stdout)
         self.assertIn("wire: 292988 bytes in, 187515 bytes out",
                       proc.stdout)
+
+    def test_snapshot_without_writer_split_renders_no_commit_mix(self):
+        doc = snapshot()
+        del doc["sections"]["tm"]["writer_commits"]
+        proc = self.run_tool(doc, "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("commit mix", proc.stdout)
 
     def test_netless_snapshot_renders_no_serving_tier(self):
         proc = self.run_tool(snapshot())

@@ -80,6 +80,12 @@ RULES = {
         "makes every thread's counter bumps false-share with its "
         "neighbours, which the always-on metrics plane cannot afford"
     ),
+    "owned-word": (
+        "tx.read_owned / tx.write_owned (thread-owned words, invisible to "
+        "conflict detection) may appear only in src/core/ and src/tm/, "
+        "plus the TM's own tests in tests/tm/; every other word goes "
+        "through tx.read / tx.write"
+    ),
 }
 
 # Files allowed to define/reference the compile-time hook gates directly:
@@ -129,6 +135,8 @@ USING_NAMESPACE_RE = re.compile(r"(?<![\w_])using\s+namespace\b")
 KMAX_ARRAY_RE = re.compile(r"\[\s*(?:util::)?kMaxThreads\s*\]")
 
 KMAX_METRICS_ARRAY_RE = re.compile(r"\[\s*(?:\w+::)*kMaxMetrics\s*\]")
+
+OWNED_WORD_RE = re.compile(r"(?<![\w_])(read_owned|write_owned)\b")
 
 
 @dataclass
@@ -186,6 +194,7 @@ class Linter:
         self._check_sleep_sync(rel, code, line_starts, lines, add)
         self._check_spin_park(rel, code, line_starts, add)
         self._check_gated_hooks(rel, code, lines, add)
+        self._check_owned_word(rel, code, line_starts, add)
         if is_header:
             self._check_pragma_once(rel, raw_lines, add)
             self._check_using_namespace(rel, lines, add)
@@ -310,7 +319,26 @@ class Linter:
                     "default builds stay hook-free by construction",
                 )
 
-    # -- rules 6-8 ---------------------------------------------------------
+    # -- rule 6 ------------------------------------------------------------
+    # Where thread-owned words may be spelled: the reservation layer (whose
+    # per-thread cells they are), the TM that defines them, and the TM's
+    # own unit tests of their rollback contract.
+    OWNED_WORD_DIRS = ("src/core/", "src/tm/", "tests/tm/")
+
+    def _check_owned_word(self, rel, code, line_starts, add):
+        if rel.startswith(self.OWNED_WORD_DIRS):
+            return
+        for m in OWNED_WORD_RE.finditer(code):
+            add(
+                line_of(m.start(), line_starts),
+                "owned-word",
+                f"`{m.group(1)}` outside src/core/ and src/tm/: an owned "
+                "word bypasses conflict detection, so a word any other "
+                "thread reads or writes (a node field, a shared counter) "
+                "silently loses its conflicts; use tx.read / tx.write",
+            )
+
+    # -- rules 7-9 ---------------------------------------------------------
     def _check_pragma_once(self, rel, raw_lines, add):
         for i, ln in enumerate(raw_lines, start=1):
             s = ln.strip()

@@ -9,9 +9,11 @@ the `$HOHTM_METRICS_FILE` atexit dump that every bench and serving
 binary honours, or the body of kv::Service::stats_snapshot() (whose
 wrapper object {"service":...,"metrics":{...}} is accepted too).
 
-Renders the always-on counters and gauges, the causal abort attribution
-("who aborted whom": per-aborter-slot and per-site loss buckets), the kv
-contention heatmap, and the reclamation-stall watchdog state.
+Renders the always-on counters and gauges, the commit mix (how many
+commits published writes, i.e. took the writer path of the backend), the
+causal abort attribution ("who aborted whom": per-aborter-slot and
+per-site loss buckets), the kv contention heatmap, and the
+reclamation-stall watchdog state.
 
 With --check, additionally verifies the attribution invariants the
 metrics plane guarantees by construction and exits nonzero when any is
@@ -22,6 +24,7 @@ this):
   * sum(loss_by_aborter) == tm.res_lost                 (exactly)
   * sum(loss_by_site)    == tm.res_lost                 (exactly)
   * sum(aborted_by)      <= tm.aborts
+  * tm.writer_commits    <= tm.commits                  (when exported)
 """
 
 import argparse
@@ -44,6 +47,19 @@ def emit_scalars(title, table):
     width = max(len(k) for k in table)
     for name in sorted(table):
         print(f"  {name.ljust(width)}  {table[name]}")
+
+
+def emit_commit_mix(tm):
+    """Writer vs read-only commits. Snapshots from before writer_commits
+    was exported carry no split and render no section."""
+    if "writer_commits" not in tm:
+        return
+    commits = tm.get("commits", 0)
+    writers = tm["writer_commits"]
+    share = 100.0 * writers / commits if commits else 0.0
+    print("\n## commit mix")
+    print(f"  {writers} of {commits} commits published writes "
+          f"({share:.1f}%); {commits - writers} committed read-only")
 
 
 def emit_attribution(tm, top_n):
@@ -133,6 +149,10 @@ def check(doc):
     by_site = sum(attr.get("loss_by_site", {}).values())
     if by_site != losses:
         problems.append(f"sum(loss_by_site)={by_site} != res_lost({losses})")
+    writers = tm.get("writer_commits", 0)
+    if writers > tm.get("commits", 0):
+        problems.append(f"writer_commits({writers}) > "
+                        f"commits({tm.get('commits', 0)})")
     aborted_by = sum(attr.get("aborted_by", []))
     if aborted_by > tm.get("aborts", 0):
         problems.append(f"sum(aborted_by)={aborted_by} > "
@@ -157,6 +177,7 @@ def main():
         tm = sections["tm"]
         emit_scalars("tm", {k: v for k, v in tm.items()
                             if isinstance(v, int)})
+        emit_commit_mix(tm)
         emit_attribution(tm, args.top)
     emit_net(doc.get("counters", {}))
     emit_heatmap(sections.get("kv_heatmap", []))
